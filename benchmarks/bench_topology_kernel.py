@@ -11,6 +11,10 @@ Guards the tentpole refactor's "generality is free for the paper" claim:
   kernels, so every threshold goes through the batched matmul BFS binary
   search.  No assertion on the ratio — the snapshot documents it and the
   bench-gate diff catches regressions.
+* ``test_exhaustive_oracle_throughput`` — the exact-enumeration oracle
+  (failure sets batched through the matmul BFS) against the pure-Python
+  reference BFS it replaced: identical counts at every ``f``, and at
+  least 5x the reference's sets per second.
 
 The committed ``BENCH_bench_topology_kernel.json`` holds the
 full-profile numbers; ``TOPOLOGY_BENCH_ITERATIONS`` shrinks the workload
@@ -18,12 +22,19 @@ for the quick CI profile.
 """
 
 import os
+from itertools import combinations
+from math import comb
 from time import perf_counter
 
 import numpy as np
 
-from repro.analysis import simulate_grid, simulate_topology_grid, topology_connected_vec
-from repro.topology import dual_hub_cluster, fat_tree_three_level, k_hub_cluster
+from repro.analysis import (
+    enumerate_topology_success,
+    simulate_grid,
+    simulate_topology_grid,
+    topology_connected_vec,
+)
+from repro.topology import build_topology, dual_hub_cluster, fat_tree_three_level, k_hub_cluster
 
 N = 63
 F_GRID = (2, 3, 4, 5, 6)
@@ -79,3 +90,37 @@ def test_batched_bfs_predicate_throughput(benchmark):
     ok = benchmark(lambda: topology_connected_vec(topology, failed))
     assert ok.shape == (50_000,)
     assert 0 < ok.sum() < 50_000
+
+
+def test_exhaustive_oracle_throughput(benchmark):
+    """Batched enumeration vs the per-subset reference BFS: same counts, >= 5x."""
+    topology = build_topology("khub:hubs=3,nics=2", size=6)
+    fs = range(topology.width + 1)
+    sets = sum(comb(topology.width, f) for f in fs)
+
+    reference_s = float("inf")
+    for _ in range(3):  # best of three, like the benchmarked side
+        started = perf_counter()
+        reference = [
+            sum(topology.connected(s) for s in combinations(range(topology.width), f)) for f in fs
+        ]
+        reference_s = min(reference_s, perf_counter() - started)
+
+    batched = benchmark.pedantic(
+        lambda: [enumerate_topology_success(topology, f) for f in fs],
+        rounds=3,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    batched_s = benchmark.stats.stats.min
+
+    assert batched == [good / comb(topology.width, f) for f, good in zip(fs, reference)]
+    ratio = reference_s / batched_s
+    benchmark.extra_info["sets"] = sets
+    benchmark.extra_info["sets_per_s"] = round(sets / batched_s)
+    benchmark.extra_info["reference_seconds"] = round(reference_s, 4)
+    benchmark.extra_info["ratio_vs_reference"] = round(ratio, 2)
+    assert ratio >= 5.0, (
+        f"batched oracle ({batched_s:.3f}s) is under 5x the reference BFS "
+        f"({reference_s:.3f}s) over {sets} failure sets"
+    )

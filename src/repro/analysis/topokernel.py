@@ -26,7 +26,12 @@ apply, so the paper's topology pays nothing for the generality:
   the same sweep loop, so stream consumption is identical and the
   dual-hub topology replays byte-identical draws).
 * :func:`enumerate_topology_success` / :func:`exact_topology_success` —
-  the exhaustive oracle and the closed-form dispatch.
+  the exhaustive oracle and the closed-form dispatch.  Enumeration streams
+  the ``C(width, f)`` failure sets through :func:`topology_connected_vec`
+  in fixed batches of :data:`ENUMERATION_BATCH` rows, so memory stays
+  bounded however large the universe; the pure-Python BFS of
+  :meth:`~repro.topology.model.Topology.connected` is only the test
+  reference it is checked against.
 
 Every kernel validates ``f`` through
 :meth:`~repro.topology.model.Topology.validate_f` — the same clear
@@ -35,7 +40,7 @@ Every kernel validates ``f`` through
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from time import perf_counter
 
@@ -57,6 +62,10 @@ from repro.topology.model import ConnectivityPredicate, Topology
 #: refuse exhaustive enumeration beyond this many failure sets
 DEFAULT_MAX_ENUMERATION = 2_000_000
 
+#: failure sets per batched-BFS call of the exhaustive oracle; about 1 MB
+#: of working memory, and large enough to amortize the per-call overhead
+ENUMERATION_BATCH = 1024
+
 
 def _cell_n(topology: Topology) -> int:
     """The N used to label precision cells (node/host count when known)."""
@@ -64,6 +73,15 @@ def _cell_n(topology: Topology) -> int:
         if key in topology.meta:
             return int(topology.meta[key])
     return topology.width
+
+
+def require_uniform_weights(topology: Topology, what: str) -> None:
+    """Reject weighted topologies on paths that assume uniform failures."""
+    if topology.weights is not None:
+        raise ValueError(
+            f"{what} requires uniform failure weights; topology "
+            f"{topology.name!r} declares per-site weights"
+        )
 
 
 def require_baseline_connectivity(
@@ -521,11 +539,7 @@ def simulate_topology_grid(
                 f"topology {topology.name!r} declares no strata_sites; stratified "
                 f"sampling needs them (use method='crn')"
             )
-        if topology.weights is not None:
-            raise ValueError(
-                f"stratified sampling requires uniform failure weights; topology "
-                f"{topology.name!r} declares per-site weights"
-            )
+        require_uniform_weights(topology, "stratified sampling")
         for f in fs:
             topology.validate_f(f)
         require_baseline_connectivity(topology, predicate)
@@ -575,21 +589,32 @@ def enumerate_topology_success(
 ) -> float:
     """Exact survivability by enumerating all ``C(width, f)`` failure sets.
 
-    The assumption-free oracle (reference BFS per subset) the vectorized
-    kernels are tested against; refuses universes larger than
-    ``max_combinations`` subsets rather than silently running for hours.
+    The sets stream in lexicographic order, :data:`ENUMERATION_BATCH` rows
+    at a time, into a boolean failure matrix evaluated by
+    :func:`topology_connected_vec` (so memory is bounded by the batch, not
+    the universe).  Exact counting assumes every set is equally likely:
+    weighted topologies are refused, as are universes larger than
+    ``max_combinations`` subsets, before any work is done.
     """
     topology.validate_f(f)
-    total = comb(topology.width, f)
+    require_uniform_weights(topology, "exact enumeration")
+    width = topology.width
+    total = comb(width, f)
     if total > max_combinations:
         raise ValueError(
-            f"enumeration over C({topology.width}, {f}) = {total} failure sets "
+            f"enumeration over C({width}, {f}) = {total} failure sets "
             f"exceeds max_combinations={max_combinations}"
         )
-    good = sum(
-        topology.connected(subset, predicate)
-        for subset in combinations(range(topology.width), f)
-    )
+    subsets = combinations(range(width), f)
+    good = 0
+    for start in range(0, total, ENUMERATION_BATCH):
+        rows = min(ENUMERATION_BATCH, total - start)
+        picks = np.fromiter(
+            chain.from_iterable(islice(subsets, rows)), dtype=np.intp, count=rows * f
+        ).reshape(rows, f)
+        failed = np.zeros((rows, width), dtype=bool)
+        np.put_along_axis(failed, picks, True, axis=1)
+        good += int(topology_connected_vec(topology, failed, predicate).sum())
     return good / total
 
 
@@ -604,8 +629,10 @@ def exact_topology_success(
     The dual-hub builder attaches Equation 1 here, so the generic API
     answers the paper's grid exactly; every other family falls back to
     :func:`enumerate_topology_success` (subject to the same size guard).
+    Both answers are for uniform failures, so weighted topologies raise.
     """
     topology.validate_f(f)
+    require_uniform_weights(topology, "exact survivability")
     if predicate is None and topology.exact_fn is not None:
         return float(topology.exact_fn(f))
     return enumerate_topology_success(topology, f, predicate, max_combinations)

@@ -20,8 +20,8 @@ common-random-numbers sweep kernel) runs over *any* topology:
   connected one, which is what lets the sweep kernel reduce each sampled
   row to a single breakdown threshold (see docs/topology.md).
 * pure-Python reachability (:func:`reachable_from`) — the assumption-free
-  reference the exhaustive oracle and the property tests compare the
-  vectorized kernels against.
+  reference the tests compare the vectorized kernels (the batched BFS,
+  and the exhaustive oracle built on it) against.
 
 Builders for concrete topology families live in
 :mod:`repro.topology.builders`; the vectorized kernels that consume this
@@ -31,6 +31,7 @@ model live in :mod:`repro.analysis.topokernel`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -286,25 +287,38 @@ class Topology:
             )
 
     # ------------------------------------------------------------------ views
-    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets per vertex (reference-path view; cheap to rebuild)."""
+    @cached_property
+    def _adjacency_sets(self) -> tuple[frozenset[int], ...]:
         neighbors: list[set[int]] = [set() for _ in range(self.num_vertices)]
         for a, b in self.edges:
             neighbors[a].add(b)
             neighbors[b].add(a)
         return tuple(frozenset(s) for s in neighbors)
 
+    @cached_property
+    def _adjacency_matrix(self) -> np.ndarray:
+        adj = np.zeros((self.num_vertices, self.num_vertices), dtype=np.float32)
+        for a, b in self.edges:
+            adj[a, b] = 1
+            adj[b, a] = 1
+        adj.setflags(write=False)
+        return adj
+
+    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
+        """Neighbor sets per vertex (reference-path view, built once per instance)."""
+        return self._adjacency_sets
+
     def adjacency_matrix(self, dtype=np.float32) -> np.ndarray:
         """Dense symmetric adjacency for the batched reachability kernels.
 
         ``float32`` by default so ``reached @ A`` runs on the BLAS matmul
-        path (counts stay exact well past any plausible vertex count).
+        path (counts stay exact well past any plausible vertex count).  The
+        default view is built once per instance and returned read-only —
+        every batch of every kernel shares it; any other ``dtype`` is a
+        fresh converted copy.
         """
-        adj = np.zeros((self.num_vertices, self.num_vertices), dtype=dtype)
-        for a, b in self.edges:
-            adj[a, b] = 1
-            adj[b, a] = 1
-        return adj
+        adj = self._adjacency_matrix
+        return adj if np.dtype(dtype) == adj.dtype else adj.astype(dtype)
 
     def site_index(self) -> dict[int, int]:
         """Vertex id -> position in the canonical failure-universe order."""
@@ -354,7 +368,10 @@ class Topology:
         """Reference evaluation of one failure set (site positions).
 
         ``failed`` holds positions into ``failure_sites`` (the component
-        indexing every kernel shares), not raw vertex ids.
+        indexing every kernel shares), not raw vertex ids.  This is the
+        test reference for the batched kernels; in production only the
+        row-wise fallback for custom predicates and the ``f = 0`` baseline
+        check call it.
         """
         failed_vertices = frozenset(self.failure_sites[i] for i in failed)
         return (predicate or self.predicate).holds(self, failed_vertices)

@@ -10,14 +10,19 @@ quantity as the specialized dual-hub kernels and as Equation 1:
   makes the generic grid replay the specialized grid byte for byte;
 * statistical — the generic Monte Carlo estimator agrees with Equation 1
   within a Wilson 99.9% interval on the paper's grid.
+
+The batched exhaustive oracle is itself pinned to the pure-Python
+reference BFS, subset by subset, for every catalog family and predicate.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
+import repro.analysis.topokernel as topokernel
 from repro.analysis import (
     connectivity_levels,
     enumerate_topology_success,
@@ -30,7 +35,18 @@ from repro.analysis import (
 )
 from repro.analysis.montecarlo import pair_connected_vec
 from repro.analysis.stats import wilson_interval
-from repro.topology import dual_hub_cluster, k_hub_cluster
+from repro.topology import (
+    TOPOLOGY_FAMILIES,
+    AllTerminalsConnected,
+    ConnectivityPredicate,
+    PairConnected,
+    TerminalQuorum,
+    Topology,
+    build_topology,
+    dual_hub_cluster,
+    k_hub_cluster,
+    reachable_from,
+)
 
 
 def strip_fast_paths(topology):
@@ -186,3 +202,151 @@ class TestSharedValidation:
             simulate_topology_grid(dead, (1,), 100, seed=1)
         with pytest.raises(ValueError, match="zero failures"):
             simulate_topology_success(dead, 1, 100, seed=1)
+
+
+# ------------------------------------------------------- batched enumeration
+#: one small instance per catalog family (multicluster trimmed to two
+#: clusters so every f stays cheap for the reference loop)
+SMALL_CATALOG = {
+    "dual-hub": {"size": 2},
+    "khub": {"size": 2},
+    "fattree2": {"size": 2},
+    "fattree3": {"size": 2},
+    "multicluster": {"size": 2, "clusters": 2},
+}
+
+
+def _small(family):
+    params = dict(SMALL_CATALOG[family])
+    return strip_fast_paths(TOPOLOGY_FAMILIES[family](**params))
+
+
+def _reference_good(topology, f, predicate=None):
+    """Surviving subsets counted one pure-Python BFS at a time."""
+    return sum(
+        topology.connected(subset, predicate)
+        for subset in combinations(range(topology.width), f)
+    )
+
+
+@dataclass(frozen=True)
+class TerminalReachesAPeer(ConnectivityPredicate):
+    """Custom predicate: terminal 0 still reaches at least one other terminal.
+
+    Its ``kind`` is none of the shipped ones, so the batched kernel has to
+    take the row-wise reference fallback.
+    """
+
+    kind = "reaches-a-peer"
+
+    def holds(self, topology, failed):
+        failed = frozenset(failed)
+        first = topology.terminals[0]
+        reached = reachable_from(topology.adjacency_sets(), lambda v: v not in failed, first)
+        return any(t in reached for t in topology.terminals[1:])
+
+
+class TestBatchedEnumeration:
+    """The batched oracle counts exactly what the reference BFS counts."""
+
+    def test_catalog_covers_every_family(self):
+        assert set(SMALL_CATALOG) == set(TOPOLOGY_FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(SMALL_CATALOG))
+    def test_count_matches_reference_at_every_f(self, family):
+        topology = _small(family)
+        for f in range(topology.width + 1):
+            total = comb(topology.width, f)
+            expected = _reference_good(topology, f) / total
+            assert enumerate_topology_success(topology, f) == expected, (family, f)
+
+    def test_counts_span_partial_and_multiple_batches(self):
+        topology = _small("multicluster")  # width 14: C(14, 7) = 3432 subsets
+        total = comb(topology.width, 7)
+        assert total > topokernel.ENUMERATION_BATCH
+        assert total % topokernel.ENUMERATION_BATCH != 0
+        assert enumerate_topology_success(topology, 7) == _reference_good(topology, 7) / total
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [PairConnected(0, 1), AllTerminalsConnected(), TerminalQuorum(0.5), TerminalReachesAPeer()],
+        ids=lambda p: p.describe(),
+    )
+    def test_every_predicate_kind_matches_reference(self, predicate):
+        topology = strip_fast_paths(k_hub_cluster(3, hubs=2))
+        for f in range(topology.width + 1):
+            total = comb(topology.width, f)
+            expected = _reference_good(topology, f, predicate) / total
+            assert enumerate_topology_success(topology, f, predicate) == expected, f
+
+    def test_no_batch_exceeds_the_batch_constant(self, monkeypatch):
+        rows = []
+        real = topokernel.topology_connected_vec
+
+        def spy(topology, failed, predicate=None):
+            rows.append(failed.shape[0])
+            return real(topology, failed, predicate)
+
+        monkeypatch.setattr(topokernel, "topology_connected_vec", spy)
+        topology = _small("multicluster")
+        enumerate_topology_success(topology, 7)
+        assert max(rows) <= topokernel.ENUMERATION_BATCH
+        assert sum(rows) == comb(topology.width, 7)
+
+    def test_reference_bfs_is_not_called_per_subset(self, monkeypatch):
+        calls = []
+        real = Topology.connected
+
+        def spy(self, failed, predicate=None):
+            calls.append(failed)
+            return real(self, failed, predicate)
+
+        monkeypatch.setattr(Topology, "connected", spy)
+        enumerate_topology_success(_small("khub"), 4)
+        assert calls == []
+
+    def test_size_guard_fires_before_the_first_batch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            topokernel, "topology_connected_vec", lambda *args, **kwargs: calls.append(args)
+        )
+        topology = build_topology("khub:hubs=3", size=8)
+        with pytest.raises(ValueError, match="exceeds max_combinations=100"):
+            enumerate_topology_success(topology, 5, max_combinations=100)
+        assert calls == []
+
+    def test_weighted_topologies_are_refused(self):
+        weighted = replace(k_hub_cluster(3, hubs=2), weights=(20.0,) + (1.0,) * 7)
+        with pytest.raises(ValueError, match="requires uniform failure weights"):
+            enumerate_topology_success(weighted, 2)
+        with pytest.raises(ValueError, match="declares per-site weights"):
+            exact_topology_success(weighted, 2)
+        # the dual-hub closed form is a uniform-failure answer too
+        dual = replace(dual_hub_cluster(3), weights=(3.0,) + (1.0,) * 7)
+        with pytest.raises(ValueError, match="requires uniform failure weights"):
+            exact_topology_success(dual, 2)
+
+
+class TestAdjacencyViews:
+    def test_views_are_built_once_per_instance(self):
+        topology = k_hub_cluster(4, hubs=3)
+        assert topology.adjacency_sets() is topology.adjacency_sets()
+        assert topology.adjacency_matrix() is topology.adjacency_matrix()
+
+    def test_cached_matrix_is_read_only(self):
+        adj = k_hub_cluster(4, hubs=3).adjacency_matrix()
+        assert not adj.flags.writeable
+        with pytest.raises(ValueError):
+            adj[0, 0] = 1
+
+    def test_other_dtypes_are_converted_copies(self):
+        topology = k_hub_cluster(4, hubs=3)
+        as_int = topology.adjacency_matrix(dtype=np.int64)
+        assert as_int.dtype == np.int64
+        np.testing.assert_array_equal(as_int, topology.adjacency_matrix())
+
+    def test_replace_starts_a_fresh_cache(self):
+        topology = k_hub_cluster(3, hubs=2)
+        first = topology.adjacency_matrix()
+        trimmed = replace(topology, edges=topology.edges[1:])
+        assert trimmed.adjacency_matrix().sum() == first.sum() - 2
